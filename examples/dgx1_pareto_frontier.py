@@ -11,12 +11,13 @@ Section 5.5).
 
 The enumeration runs on the synthesis engine: ``--strategy incremental``
 (the default) encodes one shared-prefix family per step count and probes
-every (C, R) candidate through assumption literals, ``--strategy parallel
---jobs N`` fans one step count's candidates across N worker processes,
-``--strategy speculative`` additionally starts the next step count while
-the current one is still solving (both commit in cost order, so results
-are identical to the serial loop), and solved frontiers persist in the
-algorithm cache so re-running the script is instant.
+every (C, R) candidate through assumption literals, ``--strategy
+speculative --jobs N`` fans candidates across N worker processes and
+starts the next step count while the current one is still solving,
+``--strategy parallel`` is the same pool pipeline without the look-ahead
+(both commit in cost order, so results are identical to the serial loop),
+and solved frontiers persist in the algorithm cache so re-running the
+script is instant.
 
 The full enumeration down to the 7-step bandwidth-optimal algorithm takes a
 while on the pure-Python solver; by default the script stops after 4 steps.

@@ -185,8 +185,9 @@ class ScclEncoding:
     variables' order-encoding Booleans, and :meth:`rounds_assumptions`
     returns assumption literals pinning the total to any ``R`` in
     ``S .. R_max``.  One encoding (and one solver, via
-    :class:`repro.engine.session.IncrementalSession`) then serves every
-    rounds candidate of a fixed-``S`` sweep.
+    :class:`repro.engine.session.SessionFamily`, whose
+    :meth:`frame_assumptions` combine these with the chunk-level ones) then
+    serves every rounds candidate of a fixed-``S`` sweep.
 
     With ``chunk_selector=True`` the encoding additionally becomes
     *chunks-incremental* (the shared-prefix form): the instance's per-node

@@ -314,11 +314,11 @@ def pareto_synthesize(
         shared-prefix encoding per step count probed via per-candidate
         assumption frames), ``"serial"`` (cold encode+solve per candidate,
         the paper's loop), ``"parallel"`` (process-pool fan-out within one
-        step count, serial-replay semantics), ``"speculative"``
-        (cross-step pipeline: candidates for S+1 start while S is still in
-        flight, committed in cost order so the frontier stays byte-identical
-        to the serial loop) or ``"auto"`` (pick one of the above from the
-        host's core count and the instance size — see
+        step count: the speculative pipeline with lookahead 0),
+        ``"speculative"`` (cross-step pipeline: candidates for S+1 start
+        while S is still in flight, committed in cost order so the frontier
+        stays byte-identical to the serial loop) or ``"auto"`` (pick one of
+        the above from the host's core count and the instance size — see
         :func:`resolve_strategy`; the frontier records the resolved name).
     max_workers:
         Worker-process count for the parallel/speculative strategies.

@@ -1,14 +1,14 @@
-"""The synthesis engine: solver backends, incremental sessions, parallel
-candidate dispatch and the persistent algorithm cache.
+"""The synthesis engine: solver backends, shared-prefix sessions, candidate
+sweep dispatch and the persistent algorithm cache.
 
 This layer sits between the CNF/SAT substrate (:mod:`repro.solver`) and the
 synthesis logic (:mod:`repro.core`): the encoders stay where they are, but
-every *solve* now flows through a named :class:`SolverBackend`, fixed-``S``
-candidate sweeps reuse one encoding via :class:`IncrementalSession`, whole
-sweeps can fan out over a process pool via :class:`ParallelDispatcher`, and
-verified outcomes persist in a content-addressed :class:`AlgorithmCache`
-shared by the examples, the benchmarks, the evaluation harness and the
-runtime.
+every *solve* flows through a named :class:`SolverBackend`, fixed-``S``
+candidate sweeps reuse one encoding via :class:`SessionFamily`, the one
+sweep loop in :mod:`repro.engine.dispatch` runs probes in process or over a
+process pool (:class:`SpeculativeDispatcher`), and verified outcomes
+persist in a content-addressed :class:`AlgorithmCache` shared by the
+examples, the benchmarks, the evaluation harness and the runtime.
 """
 
 from .backends import (
@@ -58,7 +58,6 @@ from .cache import (
 from .dispatch import (
     DispatchError,
     IncrementalDispatcher,
-    ParallelDispatcher,
     SerialDispatcher,
     SpeculativeDispatcher,
     STRATEGIES,
@@ -67,7 +66,7 @@ from .dispatch import (
     SweepStats,
     make_dispatcher,
 )
-from .session import IncrementalSession, SessionError, SessionFamily
+from .session import SessionError, SessionFamily
 
 __all__ = [
     "AlgorithmCache",
@@ -90,8 +89,6 @@ __all__ = [
     "DimacsSolverBackend",
     "DispatchError",
     "IncrementalDispatcher",
-    "IncrementalSession",
-    "ParallelDispatcher",
     "PySatBackend",
     "QUARANTINE",
     "STRATEGIES",

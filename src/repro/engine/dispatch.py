@@ -1,37 +1,36 @@
 """Candidate-sweep dispatchers for Pareto-Synthesize.
 
 Algorithm 1 probes, for each step count ``S``, an ordered list of ``(R, C)``
-candidates and keeps the first satisfiable one.  The dispatchers here are
-interchangeable strategies for executing that probe list:
+candidates and keeps the first satisfiable one.  That loop is written once
+here: :func:`_classify` decides each candidate's fate before any solver
+work (dominance-pruned, answered by a monotone cut, replayed from the
+cache, or probed), and :func:`_commit` replays the serial decision rule
+over the verdicts in cost order — it counts :class:`SweepStats`, stops at
+the first SAT, feeds the bounds ledger, persists cut verdicts, emits the
+cache-hit probe events and publishes the sweep's telemetry exactly once.
+The dispatchers differ only in *where* the probes run:
 
 * :class:`SerialDispatcher` — the paper's loop: one cold encode+solve per
-  candidate, in cost order, stopping at the first SAT.
-* :class:`IncrementalDispatcher` — drives each fixed-``S`` sweep through a
+  candidate, in process, reached in cost order.
+* :class:`IncrementalDispatcher` — in process, through a
   :class:`~repro.engine.session.SessionFamily`: one shared-prefix encoding
   per step count serves *every* ``(R, C)`` candidate via per-candidate
-  assumption frames, so a sweep pays one encoding total (previously one
-  per distinct ``C``), and the reachability analysis is shared across step
+  assumption frames, and the reachability analysis is shared across step
   counts.
-* :class:`ParallelDispatcher` — fans candidates across a process pool and
-  then *replays* the serial decision rule over the results in candidate
-  order, so the reported outcome (and hence the Pareto frontier) is
-  byte-identical to the serial path; the parallelism is opportunistic, in
-  the PopPy sense — extra completed probes past the first SAT are discarded.
-* :class:`SpeculativeDispatcher` — the cross-``S`` pipeline: given the whole
-  sweep sequence (:meth:`~SpeculativeDispatcher.sweep_many`), it keeps the
+* :class:`SpeculativeDispatcher` — on a process pool: given the whole
+  sweep sequence (:meth:`~SpeculativeDispatcher.sweep_many`) it keeps the
   pool fed with candidates from the next ``lookahead`` step counts while
   the current one is still in flight, cancels losers the moment a cheaper
-  SAT lands, and commits results strictly in cost order — so its frontier
-  is byte-identical to the serial dispatcher's even though completion order
-  is arbitrary.  An optional backend *portfolio* races several solver
-  backends on each candidate and takes the first SAT/UNSAT verdict.
+  SAT lands, and commits strictly in cost order — so its frontier is
+  byte-identical to the serial dispatcher's even though completion order
+  is arbitrary.  ``strategy="parallel"`` is this dispatcher with
+  ``lookahead=0`` (fan-out within one step count only).  An optional
+  backend *portfolio* races several solver backends on each candidate and
+  takes the first SAT/UNSAT verdict.
 
-All dispatchers consult and populate the algorithm cache when one is
-supplied, and report uniform :class:`SweepStats` so callers can account
-encodes, solver calls and cache hits.  The process-pool dispatchers ship
-the shared sweep context (topology, limits, backend objects) once per
-worker via the pool initializer; per-candidate task payloads are just the
-``(S, R, C, backend)`` tuple.
+The process pool receives the shared sweep context (topology, limits,
+backend objects) once per worker via its initializer; per-candidate task
+payloads are just the ``(S, R, C, backend)`` tuple.
 """
 
 from __future__ import annotations
@@ -39,7 +38,9 @@ from __future__ import annotations
 import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple,
+)
 
 from ..core.instance import make_instance
 from ..telemetry import Span, get_metrics, get_tracer
@@ -69,13 +70,6 @@ class SweepRequest:
     time_limit: Optional[float] = None
     conflict_limit: Optional[int] = None
     stop_at_first_sat: bool = True
-    #: The deterministic UNKNOWN policy: when a probe through a derived
-    #: formula (a shared-prefix family frame) comes back UNKNOWN, retry the
-    #: *exact* standalone formula with the same per-probe budget before
-    #: conceding the lattice point.  Strategies that already solve exact
-    #: formulas (serial/parallel/speculative) are unaffected, so frontiers
-    #: agree across strategies under resource limits.
-    unknown_retry: bool = True
     #: Bound-seeded pruning: a shared :class:`~repro.engine.bounds.BoundsLedger`
     #: consulted before any solver work.  Candidates it classifies as
     #: dominance-pruned are skipped outright, candidates inside a recorded
@@ -133,15 +127,6 @@ class SweepOutcome:
             if result.is_sat:
                 return result
         return None
-
-
-def _account(stats: SweepStats, result) -> None:
-    stats.candidates_probed += 1
-    if result.cache_hit:
-        stats.cache_hits += 1
-    else:
-        stats.encode_calls += 1
-        stats.solver_calls += 1
 
 
 def _publish_bounds_metrics(stats: SweepStats) -> None:
@@ -216,17 +201,23 @@ def _commit_sweep_telemetry(
     )
 
 
-def _cached_result(request: SweepRequest, rounds: int, chunks: int, cache):
-    """Resolve one candidate against the cache (None on a miss or no cache)."""
-    if cache is None:
-        return None
-    instance = make_instance(
-        request.collective, request.topology, chunks,
-        request.steps, rounds, root=request.root,
-    )
-    return lookup_result(
-        cache, instance, encoding=request.encoding, prune=request.prune
-    )
+#: A candidate the plan keeps whose verdict was replayed from the cache.
+HIT = "hit"
+#: A probe the commit still waits for (a pool future in flight).
+PENDING = "pending"
+
+
+class _Verdict(NamedTuple):
+    """One candidate's classified fate, in the form :func:`_commit` consumes.
+
+    ``encodes``/``retries`` are the solver work a fresh probe cost (an
+    exact-formula UNKNOWN retry is one more encode and solver call).
+    """
+
+    action: str  # PRUNE | CUT | HIT | PROBE | PENDING
+    result: object = None  # Optional[SynthesisResult]
+    encodes: int = 0
+    retries: int = 0
 
 
 def _plan_probes(request: SweepRequest) -> Optional[ProbePlan]:
@@ -240,20 +231,167 @@ def _plan_probes(request: SweepRequest) -> Optional[ProbePlan]:
     return request.bounds.plan(request.steps, request.candidates)
 
 
-def _plan_action(plan: Optional[ProbePlan], index: int) -> str:
-    return PROBE if plan is None else plan.actions[index]
+def _classify(
+    request: SweepRequest, plan: Optional[ProbePlan], index: int,
+    cache: Optional[AlgorithmCache],
+) -> _Verdict:
+    """Pruned, cut, cache hit or probe: one candidate before any solver work.
 
-
-def _cut_for(request: SweepRequest, plan: ProbePlan, index: int, cache):
-    """Materialize the synthetic UNSAT for a cut candidate (and persist it)."""
+    Cuts carry their synthetic UNSAT and hits their replayed result; a
+    ``PROBE`` verdict has no result yet.  With ``cache=None`` the cache is
+    not consulted.
+    """
+    action = PROBE if plan is None else plan.actions[index]
+    if action == PRUNE:
+        return _Verdict(PRUNE)
     rounds, chunks = request.candidates[index]
-    result = cut_result(
-        request.collective, request.topology, request.steps, rounds, chunks,
-        root=request.root, witness=plan.witnesses.get(index),
-    )
+    if action == CUT:
+        return _Verdict(CUT, cut_result(
+            request.collective, request.topology, request.steps, rounds, chunks,
+            root=request.root, witness=plan.witnesses.get(index),
+        ))
     if cache is not None:
-        store_result(cache, result, encoding=request.encoding, prune=request.prune)
-    return result
+        cached = lookup_result(
+            cache,
+            make_instance(
+                request.collective, request.topology, chunks,
+                request.steps, rounds, root=request.root,
+            ),
+            encoding=request.encoding, prune=request.prune,
+        )
+        if cached is not None:
+            return _Verdict(HIT, cached)
+    return _Verdict(PROBE)
+
+
+def _commit(
+    strategy: str,
+    request: SweepRequest,
+    verdicts: Iterable[_Verdict],
+    cache: Optional[AlgorithmCache],
+    span,
+) -> Optional[SweepOutcome]:
+    """Replay the serial decision rule over one sweep's verdicts, in cost order.
+
+    ``verdicts`` yields one :class:`_Verdict` per candidate in candidate
+    order; it may end early (probes past the first SAT that were never
+    run or were cancelled).  A ``PENDING`` verdict means the decision
+    still depends on an unfinished probe: the commit returns ``None`` with
+    no side effects, so a pool dispatcher can simply try again later.
+    Otherwise every side effect of a committed sweep happens here, once:
+    ledger observations in cost order, cut verdicts persisted to
+    ``cache``, a zero-duration probe event under ``span`` for each cache
+    hit, and the sweep's metrics and archive record.
+    """
+    outcome = SweepOutcome()
+    stats = outcome.stats
+    actions: List[str] = []
+    for verdict in verdicts:
+        if verdict.action == PENDING:
+            return None
+        if verdict.action == PRUNE:
+            stats.probes_pruned += 1
+            continue
+        actions.append(verdict.action)
+        outcome.results.append(verdict.result)
+        if verdict.action == CUT:
+            stats.probes_cut += 1
+            continue
+        stats.candidates_probed += 1
+        if verdict.result.cache_hit:  # replayed here or by a pool worker
+            stats.cache_hits += 1
+        else:
+            stats.encode_calls += verdict.encodes
+            stats.solver_calls += 1 + verdict.retries
+            stats.unknown_retries += verdict.retries
+        if verdict.result.is_sat and request.stop_at_first_sat:
+            break
+
+    tracer = get_tracer()
+    for action, result in zip(actions, outcome.results):
+        if action == CUT:
+            if cache is not None:
+                store_result(
+                    cache, result, encoding=request.encoding, prune=request.prune
+                )
+            continue
+        if request.bounds is not None:
+            request.bounds.observe(result)
+        if action == HIT and isinstance(span, Span):
+            # No probe ran, so no probe span exists: record the replay as a
+            # zero-duration event under the sweep span.
+            note = Span("probe", {
+                "collective": request.collective,
+                "C": result.instance.chunks_per_node,
+                "S": request.steps,
+                "R": result.instance.rounds,
+                "verdict": result.status.value,
+                "cache_hit": True,
+                "backend": result.backend,
+            })
+            note._open = False
+            tracer._attach(note, [span])
+    _commit_sweep_telemetry(strategy, request, outcome)
+    return outcome
+
+
+def _synthesize(request: SweepRequest, rounds: int, chunks: int):
+    """Cold encode+solve of one candidate's exact formula (no cache)."""
+    from ..core.synthesizer import synthesize
+
+    return synthesize(
+        make_instance(
+            request.collective, request.topology, chunks,
+            request.steps, rounds, root=request.root,
+        ),
+        encoding=request.encoding,
+        prune=request.prune,
+        time_limit=request.time_limit,
+        conflict_limit=request.conflict_limit,
+        backend=request.backend,
+    )
+
+
+def _serial_probe(request: SweepRequest) -> Callable[[int], _Verdict]:
+    def probe(index: int) -> _Verdict:
+        rounds, chunks = request.candidates[index]
+        return _Verdict(PROBE, _synthesize(request, rounds, chunks), encodes=1)
+
+    return probe
+
+
+def _sweep_inline(
+    strategy: str,
+    request: SweepRequest,
+    cache: Optional[AlgorithmCache],
+    plan: Optional[ProbePlan],
+    probe: Callable[[int], _Verdict],
+) -> SweepOutcome:
+    """Run one sweep in this process: classify and probe lazily in cost order.
+
+    The commit stops pulling verdicts at the first SAT, so candidates past
+    it are never looked up or solved.  Fresh SAT/UNSAT verdicts are
+    written to the cache as they land.
+    """
+    get_backend(request.backend)  # fail fast, even on a fully warm cache
+
+    def verdicts():
+        for index in range(len(request.candidates)):
+            verdict = _classify(request, plan, index, cache)
+            if verdict.action == PROBE:
+                verdict = probe(index)
+                if cache is not None:
+                    store_result(
+                        cache, verdict.result,
+                        encoding=request.encoding, prune=request.prune,
+                    )
+            yield verdict
+
+    with get_tracer().span(
+        "sweep", strategy=strategy, S=request.steps,
+        collective=request.collective,
+    ) as span:
+        return _commit(strategy, request, verdicts(), cache, span)
 
 
 class SerialDispatcher:
@@ -262,44 +400,9 @@ class SerialDispatcher:
     name = "serial"
 
     def sweep(self, request: SweepRequest, cache: Optional[AlgorithmCache] = None) -> SweepOutcome:
-        from ..core.synthesizer import synthesize
-
-        outcome = SweepOutcome()
-        plan = _plan_probes(request)
-        with get_tracer().span(
-            "sweep", strategy=self.name, S=request.steps,
-            collective=request.collective,
-        ):
-            for index, (rounds, chunks) in enumerate(request.candidates):
-                action = _plan_action(plan, index)
-                if action == PRUNE:
-                    outcome.stats.probes_pruned += 1
-                    continue
-                if action == CUT:
-                    outcome.stats.probes_cut += 1
-                    outcome.results.append(_cut_for(request, plan, index, cache))
-                    continue
-                instance = make_instance(
-                    request.collective, request.topology, chunks,
-                    request.steps, rounds, root=request.root,
-                )
-                result = synthesize(
-                    instance,
-                    encoding=request.encoding,
-                    prune=request.prune,
-                    time_limit=request.time_limit,
-                    conflict_limit=request.conflict_limit,
-                    backend=request.backend,
-                    cache=cache,
-                )
-                _account(outcome.stats, result)
-                if request.bounds is not None:
-                    request.bounds.observe(result)
-                outcome.results.append(result)
-                if result.is_sat and request.stop_at_first_sat:
-                    break
-        _commit_sweep_telemetry(self.name, request, outcome)
-        return outcome
+        return _sweep_inline(
+            self.name, request, cache, _plan_probes(request), _serial_probe(request)
+        )
 
 
 class IncrementalDispatcher:
@@ -311,6 +414,15 @@ class IncrementalDispatcher:
     reachability analysis behind variable pruning is computed once per
     (collective, topology).  Falls back to the serial dispatcher for the
     naive ablation encoding, which has no selector layers.
+
+    The deterministic UNKNOWN policy: a family frame solves a *larger*
+    shared formula under assumptions, so it can exhaust a per-probe budget
+    where the standalone formula would not — and the other strategies,
+    which solve standalone formulas, would then disagree with this one on
+    the frontier.  So a frame that comes back UNKNOWN is retried on the
+    exact standalone formula with the same budget before the lattice point
+    is conceded; the family's SAT/UNSAT verdicts are sound and never
+    retried.
     """
 
     name = "incremental"
@@ -339,7 +451,6 @@ class IncrementalDispatcher:
         if request.encoding != "sccl":
             return SerialDispatcher().sweep(request, cache)
 
-        outcome = SweepOutcome()
         family = self._family(request)
         plan = _plan_probes(request)
         # Size-adaptive family budget: the chunk selector starts at the first
@@ -352,96 +463,31 @@ class IncrementalDispatcher:
             (
                 r
                 for index, (r, _) in enumerate(request.candidates)
-                if _plan_action(plan, index) == PROBE
+                if plan is None or plan.actions[index] == PROBE
             ),
             default=request.steps,
         )
-        tracer = get_tracer()
-        with tracer.span(
-            "sweep", strategy=self.name, S=request.steps,
-            collective=request.collective,
-        ):
-            for index, (rounds, chunks) in enumerate(request.candidates):
-                action = _plan_action(plan, index)
-                if action == PRUNE:
-                    outcome.stats.probes_pruned += 1
-                    continue
-                if action == CUT:
-                    outcome.stats.probes_cut += 1
-                    outcome.results.append(_cut_for(request, plan, index, cache))
-                    continue
-                cached = _cached_result(request, rounds, chunks, cache)
-                if cached is not None:
-                    result = cached
-                    outcome.stats.cache_hits += 1
-                    outcome.stats.candidates_probed += 1
-                    # family.solve was never entered, so emit the replayed
-                    # candidate's probe event here (zero duration).
-                    tracer.instant(
-                        "probe",
-                        collective=request.collective, C=chunks,
-                        S=request.steps, R=rounds,
-                        verdict=result.status.value, cache_hit=True,
-                        backend=result.backend,
-                    )
-                else:
-                    before = family.encode_calls
-                    result = family.solve(
-                        request.steps,
-                        chunks,
-                        rounds,
-                        max_rounds=max_rounds,
-                        time_limit=request.time_limit,
-                        conflict_limit=request.conflict_limit,
-                    )
-                    outcome.stats.encode_calls += family.encode_calls - before
-                    outcome.stats.solver_calls += 1
-                    outcome.stats.candidates_probed += 1
-                    if result.is_unknown and request.unknown_retry:
-                        result = self._retry_exact(request, rounds, chunks, result, outcome)
-                    if cache is not None:
-                        store_result(
-                            cache, result, encoding=request.encoding, prune=request.prune
-                        )
-                if request.bounds is not None:
-                    request.bounds.observe(result)
-                outcome.results.append(result)
-                if result.is_sat and request.stop_at_first_sat:
-                    break
-        _commit_sweep_telemetry(self.name, request, outcome)
-        return outcome
 
-    @staticmethod
-    def _retry_exact(
-        request: SweepRequest, rounds: int, chunks: int, family_result, outcome: SweepOutcome
-    ):
-        """The deterministic UNKNOWN policy (see :class:`SweepRequest`).
+        def probe(index: int) -> _Verdict:
+            rounds, chunks = request.candidates[index]
+            before = family.encode_calls
+            result = family.solve(
+                request.steps,
+                chunks,
+                rounds,
+                max_rounds=max_rounds,
+                time_limit=request.time_limit,
+                conflict_limit=request.conflict_limit,
+            )
+            encodes = family.encode_calls - before
+            if not result.is_unknown:
+                return _Verdict(PROBE, result, encodes)
+            retry = _synthesize(request, rounds, chunks)
+            return _Verdict(
+                PROBE, result if retry.is_unknown else retry, encodes + 1, retries=1
+            )
 
-        A family frame solves a *larger* shared formula under assumptions,
-        so it can exhaust a budget where the standalone formula would not —
-        and the serial strategy, which always solves standalone formulas,
-        would then disagree with this one on the frontier.  Retrying the
-        exact formula with the same per-probe budget restores agreement;
-        the family's SAT/UNSAT verdicts are sound and are never retried.
-        """
-        from ..core.synthesizer import synthesize
-
-        instance = make_instance(
-            request.collective, request.topology, chunks,
-            request.steps, rounds, root=request.root,
-        )
-        retry = synthesize(
-            instance,
-            encoding=request.encoding,
-            prune=request.prune,
-            time_limit=request.time_limit,
-            conflict_limit=request.conflict_limit,
-            backend=request.backend,
-        )
-        outcome.stats.unknown_retries += 1
-        outcome.stats.encode_calls += 1
-        outcome.stats.solver_calls += 1
-        return retry if not retry.is_unknown else family_result
+        return _sweep_inline(self.name, request, cache, plan, probe)
 
 
 # ----------------------------------------------------------------------
@@ -551,126 +597,6 @@ def _ingest_worker_result(result, span) -> None:
         result.trace = None
 
 
-class ParallelDispatcher:
-    """Process-pool fan-out with deterministic serial-replay semantics."""
-
-    name = "parallel"
-
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        if max_workers is not None and max_workers < 1:
-            raise DispatchError("max_workers must be at least 1")
-        self.max_workers = max_workers
-
-    def sweep(self, request: SweepRequest, cache: Optional[AlgorithmCache] = None) -> SweepOutcome:
-        # Fail fast on unknown backend names before spawning any workers.
-        backend_obj = get_backend(request.backend)
-        candidates = list(request.candidates)
-        if len(candidates) <= 1 or self.max_workers == 1:
-            return SerialDispatcher().sweep(request, cache)
-
-        outcome = SweepOutcome()
-        plan = _plan_probes(request)
-        tracer = get_tracer()
-        with tracer.span(
-            "sweep", strategy=self.name, S=request.steps,
-            collective=request.collective,
-        ) as sweep_span:
-            # Fast path: resolve cuts and cache hits in-process before
-            # spawning workers; pruned candidates never reach the pool (or
-            # the cache).
-            results: List = [None] * len(candidates)
-            pending: List[int] = []
-            parent_hits: Set[int] = set()
-            for index, (rounds, chunks) in enumerate(candidates):
-                action = _plan_action(plan, index)
-                if action == PRUNE:
-                    continue  # accounted during the ordered replay below
-                if action == CUT:
-                    results[index] = _cut_for(request, plan, index, cache)
-                    continue
-                cached = _cached_result(request, rounds, chunks, cache)
-                if cached is not None:
-                    results[index] = cached
-                    parent_hits.add(index)
-                else:
-                    pending.append(index)
-
-            if request.stop_at_first_sat:
-                # A SAT cache hit already decides the sweep at its position;
-                # candidates after it would be discarded by the replay.
-                for index, cached in enumerate(results):
-                    if cached is not None and cached.is_sat:
-                        pending = [i for i in pending if i < index]
-                        break
-
-            if pending:
-                shared = _shared_payload(request, cache, [backend_obj])
-                workers = min(self.max_workers or os.cpu_count() or 1, len(pending))
-                with ProcessPoolExecutor(
-                    max_workers=workers,
-                    initializer=_init_candidate_worker,
-                    initargs=(shared,),
-                ) as pool:
-                    try:
-                        futures = {
-                            index: pool.submit(
-                                _solve_candidate_worker,
-                                (
-                                    request.steps,
-                                    candidates[index][0],
-                                    candidates[index][1],
-                                    request.backend,
-                                    True,
-                                ),
-                            )
-                            for index in pending
-                        }
-                        # Consume in candidate order; once the decisive ordered
-                        # prefix is resolved (first SAT under stop_at_first_sat),
-                        # cancel the rest — their results would be discarded by
-                        # the replay anyway.
-                        for index in pending:
-                            results[index] = futures[index].result()
-                            _ingest_worker_result(results[index], sweep_span)
-                            if results[index].is_sat and request.stop_at_first_sat:
-                                break
-                    finally:
-                        pool.shutdown(wait=False, cancel_futures=True)
-
-            # Replay the serial decision rule over the ordered results so the
-            # observable outcome is identical to SerialDispatcher's.
-            for index, result in enumerate(results):
-                action = _plan_action(plan, index)
-                if action == PRUNE:
-                    outcome.stats.probes_pruned += 1
-                    continue
-                if result is None:
-                    break  # probes past the first SAT that were cancelled
-                if action == CUT:
-                    outcome.stats.probes_cut += 1
-                    outcome.results.append(result)
-                    continue
-                if index in parent_hits:
-                    # Resolved from the parent's cache before the pool ran:
-                    # no worker span exists, so emit the probe event here.
-                    tracer.instant(
-                        "probe",
-                        collective=request.collective,
-                        C=candidates[index][1], S=request.steps,
-                        R=candidates[index][0],
-                        verdict=result.status.value, cache_hit=True,
-                        backend=result.backend,
-                    )
-                _account(outcome.stats, result)
-                if request.bounds is not None:
-                    request.bounds.observe(result)
-                outcome.results.append(result)
-                if result.is_sat and request.stop_at_first_sat:
-                    break
-        _commit_sweep_telemetry(self.name, request, outcome)
-        return outcome
-
-
 # ----------------------------------------------------------------------
 # Speculative cross-S pipeline
 # ----------------------------------------------------------------------
@@ -679,7 +605,6 @@ class _SweepState:
     """In-flight bookkeeping for one request of a speculative batch."""
 
     request: SweepRequest
-    candidates: List[Tuple[int, int]]
     results: List  # Optional[SynthesisResult] per candidate index
     inflight: Set[int] = field(default_factory=set)  # indices awaiting a verdict
     sat_bound: Optional[int] = None  # smallest index known SAT
@@ -754,9 +679,11 @@ class SpeculativeDispatcher:
         if self.portfolio is None and (
             len(request.candidates) <= 1 or self.max_workers == 1
         ):
-            # Nothing to speculate over; skip the pool like the parallel path.
-            get_backend(request.backend)
-            return SerialDispatcher().sweep(request, cache)
+            # Nothing to fan out: solve in process instead of paying a pool.
+            return _sweep_inline(
+                self.name, request, cache, _plan_probes(request),
+                _serial_probe(request),
+            )
         outcome = self.sweep_many([request], cache=cache)[0]
         assert outcome is not None  # a single request is never skipped
         return outcome
@@ -808,18 +735,9 @@ class SpeculativeDispatcher:
         states = [self._prepare_state(request, cache) for request in requests]
         outcomes: List[Optional[SweepOutcome]] = [None] * len(requests)
 
+        # Worker processes start on the first submit, so a batch whose every
+        # candidate was cut, pruned or cached commits without spawning any.
         total_tasks = sum(len(state.inflight) for state in states)
-        if total_tasks == 0:
-            # Every candidate was cut, pruned or cached; commit poollessly.
-            for index, state in enumerate(states):
-                outcomes[index] = self._try_commit(state)
-                self._persist_cuts(outcomes[index], requests[index], cache)
-                if stop is not None and stop(outcomes[index]):
-                    break
-            for index, state in enumerate(states):
-                self._close_sweep_span(state, committed=outcomes[index] is not None)
-            return outcomes
-
         shared = _shared_payload(requests[0], cache, backend_objs)
         workers = min(
             self.max_workers or os.cpu_count() or 1,
@@ -868,7 +786,7 @@ class SpeculativeDispatcher:
                 store = self.portfolio is None
                 racers = active_backends()
                 for cand in sorted(state.inflight):
-                    rounds, chunks = state.candidates[cand]
+                    rounds, chunks = state.request.candidates[cand]
                     group = candidate_futures.setdefault((index, cand), [])
                     for backend in racers:
                         future = pool.submit(
@@ -892,12 +810,12 @@ class SpeculativeDispatcher:
                 submitted += 1
 
             while decided < len(requests):
-                outcome = self._try_commit(states[decided])
+                outcome = self._try_commit(states[decided], cache)
                 if outcome is not None:
                     if cache is not None and self.portfolio is not None:
                         # Only committed winners are persisted under a
-                        # portfolio, so warm replays match this run.  Cut
-                        # results are handled below for both configurations.
+                        # portfolio, so warm replays match this run (the
+                        # commit itself persisted the cut verdicts).
                         for result in outcome.results:
                             if not result.cache_hit and result.provenance != "cut":
                                 store_result(
@@ -905,7 +823,6 @@ class SpeculativeDispatcher:
                                     encoding=requests[0].encoding,
                                     prune=requests[0].prune,
                                 )
-                    self._persist_cuts(outcome, requests[0], cache)
                     outcomes[decided] = outcome
                     self._close_sweep_span(states[decided], committed=True)
                     decided += 1
@@ -965,19 +882,6 @@ class SpeculativeDispatcher:
             get_tracer().close(state.span, committed=committed)
 
     @staticmethod
-    def _persist_cuts(
-        outcome: Optional[SweepOutcome], request: SweepRequest, cache
-    ) -> None:
-        """Persist commit-time cut results so warm replays see provenance."""
-        if cache is None or outcome is None:
-            return
-        for result in outcome.results:
-            if result.provenance == "cut" and not result.cache_hit:
-                store_result(
-                    cache, result, encoding=request.encoding, prune=request.prune
-                )
-
-    @staticmethod
     def _check_uniform(requests: Sequence[SweepRequest]) -> None:
         def context(request: SweepRequest) -> tuple:
             return (
@@ -997,9 +901,8 @@ class SpeculativeDispatcher:
     def _prepare_state(
         self, request: SweepRequest, cache: Optional[AlgorithmCache]
     ) -> _SweepState:
-        candidates = list(request.candidates)
         state = _SweepState(
-            request=request, candidates=candidates, results=[None] * len(candidates)
+            request=request, results=[None] * len(request.candidates)
         )
         state.span = get_tracer().open(
             "sweep", strategy=self.name, S=request.steps,
@@ -1007,18 +910,16 @@ class SpeculativeDispatcher:
         )
         plan = _plan_probes(request)
         pending: List[int] = []
-        for index, (rounds, chunks) in enumerate(candidates):
-            if _plan_action(plan, index) != PROBE:
-                # Cut or pruned by the ledger: resolved at commit time with
-                # no solver work and no cache traffic.
-                continue
-            cached = _cached_result(request, rounds, chunks, cache)
-            if cached is not None:
-                state.results[index] = cached
+        for index in range(len(request.candidates)):
+            # Cut or pruned candidates are resolved at commit time with no
+            # solver work and no cache traffic.
+            verdict = _classify(request, plan, index, cache)
+            if verdict.action == HIT:
+                state.results[index] = verdict.result
                 state.cached.add(index)
-                if cached.is_sat and request.stop_at_first_sat:
+                if verdict.result.is_sat and request.stop_at_first_sat:
                     state.note_sat(index)
-            else:
+            elif verdict.action == PROBE:
                 pending.append(index)
         if state.sat_bound is not None:
             pending = [i for i in pending if i < state.sat_bound]
@@ -1062,9 +963,10 @@ class SpeculativeDispatcher:
             state.results[cand] = returned[0]
             state.inflight.discard(cand)
 
-    @staticmethod
-    def _try_commit(state: _SweepState) -> Optional[SweepOutcome]:
-        """Replay the serial decision rule once the ordered prefix is known.
+    def _try_commit(
+        self, state: _SweepState, cache: Optional[AlgorithmCache]
+    ) -> Optional[SweepOutcome]:
+        """Commit one sweep once its ordered prefix is known (else ``None``).
 
         With a bounds ledger the plan is recomputed *at commit time*:
         commits happen strictly in step-count order and verdicts are fed to
@@ -1074,63 +976,30 @@ class SpeculativeDispatcher:
         """
         request = state.request
         plan = _plan_probes(request)
-        outcome = SweepOutcome()
-        observed: List = []
-        committed_cached: List[int] = []
-        for index in range(len(state.candidates)):
-            action = _plan_action(plan, index)
-            if action == PRUNE:
-                outcome.stats.probes_pruned += 1
-                continue
-            if action == CUT:
-                outcome.stats.probes_cut += 1
-                outcome.results.append(_cut_for(request, plan, index, None))
-                continue
-            result = state.results[index]
-            if result is None:
-                if index in state.inflight:
-                    return None  # the decision still depends on this probe
-                break  # cancelled loser past the first SAT
-            _account(outcome.stats, result)
-            outcome.results.append(result)
-            observed.append(result)
-            if index in state.cached:
-                committed_cached.append(index)
-            if result.is_sat and state.request.stop_at_first_sat:
-                break
-        if request.bounds is not None:
-            for result in observed:
-                request.bounds.observe(result)
-        # The commit succeeded (earlier attempts bail out above without
-        # side effects): publish telemetry exactly once per sweep.
-        if isinstance(state.span, Span):
-            # Candidates replayed from the parent's cache never reached a
-            # worker, so no span was recorded for them; synthesize their
-            # zero-duration probe events under this sweep's span.
-            for index in committed_cached:
+
+        def verdicts():
+            for index in range(len(request.candidates)):
+                verdict = _classify(request, plan, index, None)
+                if verdict.action != PROBE:
+                    yield verdict
+                    continue
                 result = state.results[index]
-                note = Span(
-                    "probe",
-                    {
-                        "collective": request.collective,
-                        "C": state.candidates[index][1],
-                        "S": request.steps,
-                        "R": state.candidates[index][0],
-                        "verdict": result.status.value,
-                        "cache_hit": True,
-                        "backend": result.backend,
-                    },
-                )
-                note._open = False
-                state.span.children.append(note)
-        _commit_sweep_telemetry("speculative", request, outcome)
-        return outcome
+                if result is None:
+                    if index in state.inflight:
+                        yield _Verdict(PENDING)
+                    return  # cancelled loser past the first SAT
+                if index in state.cached:
+                    yield _Verdict(HIT, result)
+                else:
+                    yield _Verdict(PROBE, result, encodes=1)
+
+        return _commit(self.name, request, verdicts(), cache, state.span)
 
 
 STRATEGIES = {
     "serial": SerialDispatcher,
     "incremental": IncrementalDispatcher,
-    "parallel": ParallelDispatcher,
+    "parallel": SpeculativeDispatcher,  # with lookahead=0, see make_dispatcher
     "speculative": SpeculativeDispatcher,
 }
 
@@ -1142,22 +1011,25 @@ def make_dispatcher(
     portfolio: Optional[Sequence[str]] = None,
     lookahead: int = 1,
 ):
-    """Build a dispatcher by strategy name."""
+    """Build a dispatcher by strategy name.
+
+    ``"parallel"`` is the speculative pipeline with ``lookahead=0``: it
+    fans one step count's candidates over the pool and starts the next
+    step count only after committing this one.  It reports itself (in
+    spans, sweep records and frontiers) as ``parallel``.
+    """
+    if strategy not in STRATEGIES:
+        raise DispatchError(
+            f"unknown sweep strategy {strategy!r}; available: {sorted(STRATEGIES)}"
+        )
+    if portfolio and strategy != "speculative":
+        raise DispatchError("portfolio racing requires strategy='speculative'")
     if strategy == "parallel":
-        if portfolio:
-            raise DispatchError(
-                "portfolio racing requires strategy='speculative'"
-            )
-        return ParallelDispatcher(max_workers=max_workers)
+        dispatcher = SpeculativeDispatcher(max_workers=max_workers, lookahead=0)
+        dispatcher.name = "parallel"
+        return dispatcher
     if strategy == "speculative":
         return SpeculativeDispatcher(
             max_workers=max_workers, lookahead=lookahead, portfolio=portfolio
         )
-    if portfolio:
-        raise DispatchError("portfolio racing requires strategy='speculative'")
-    cls = STRATEGIES.get(strategy)
-    if cls is None:
-        raise DispatchError(
-            f"unknown sweep strategy {strategy!r}; available: {sorted(STRATEGIES)}"
-        )
-    return cls()
+    return STRATEGIES[strategy]()

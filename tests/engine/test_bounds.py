@@ -28,9 +28,9 @@ from repro.engine.bounds import (
 )
 from repro.engine.dispatch import (
     IncrementalDispatcher,
-    ParallelDispatcher,
     SerialDispatcher,
     SpeculativeDispatcher,
+    make_dispatcher,
 )
 from repro.solver import SolveResult
 from repro.topology import dgx1, line, ring
@@ -244,7 +244,7 @@ class TestDispatchersConsultLedger:
         [
             SerialDispatcher(),
             IncrementalDispatcher(),
-            ParallelDispatcher(max_workers=2),
+            make_dispatcher("parallel", max_workers=2),
             SpeculativeDispatcher(max_workers=2),
         ],
         ids=["serial", "incremental", "parallel", "speculative"],
@@ -267,7 +267,7 @@ class TestDispatchersConsultLedger:
         [
             SerialDispatcher(),
             IncrementalDispatcher(),
-            ParallelDispatcher(max_workers=2),
+            make_dispatcher("parallel", max_workers=2),
             SpeculativeDispatcher(max_workers=2),
         ],
         ids=["serial", "incremental", "parallel", "speculative"],

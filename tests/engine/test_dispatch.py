@@ -1,6 +1,7 @@
 """Tests for the candidate-sweep dispatchers, including the determinism
-acceptance criterion: the parallel dispatcher returns byte-identical Pareto
-frontiers to the serial path on the small test topologies.
+acceptance criterion: ``strategy="parallel"`` (the speculative pipeline with
+lookahead 0) returns byte-identical Pareto frontiers to the serial path on
+the small test topologies.
 """
 
 import json
@@ -11,12 +12,23 @@ from repro.core import pareto_synthesize
 from repro.engine import (
     DispatchError,
     IncrementalDispatcher,
-    ParallelDispatcher,
     SerialDispatcher,
+    SpeculativeDispatcher,
     SweepRequest,
     make_dispatcher,
 )
+from repro.telemetry.archive import PerfArchive, set_archive
 from repro.topology import fully_connected, line, ring, star
+
+
+@pytest.fixture
+def perf_archive(tmp_path):
+    archive = PerfArchive(tmp_path / "perf")
+    previous = set_archive(archive)
+    try:
+        yield archive
+    finally:
+        set_archive(previous)
 
 
 def frontier_bytes(frontier) -> bytes:
@@ -27,7 +39,10 @@ class TestMakeDispatcher:
     def test_strategies(self):
         assert isinstance(make_dispatcher("serial"), SerialDispatcher)
         assert isinstance(make_dispatcher("incremental"), IncrementalDispatcher)
-        assert isinstance(make_dispatcher("parallel"), ParallelDispatcher)
+        parallel = make_dispatcher("parallel")
+        assert isinstance(parallel, SpeculativeDispatcher)
+        assert parallel.lookahead == 0
+        assert parallel.name == "parallel"
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(DispatchError):
@@ -35,7 +50,7 @@ class TestMakeDispatcher:
 
     def test_invalid_workers_rejected(self):
         with pytest.raises(DispatchError):
-            ParallelDispatcher(max_workers=0)
+            make_dispatcher("parallel", max_workers=0)
 
 
 class TestParallelDeterminism:
@@ -53,7 +68,9 @@ class TestParallelDeterminism:
         ],
         ids=lambda v: getattr(v, "name", str(v)),
     )
-    def test_frontiers_byte_identical(self, collective, topology, k, max_steps):
+    def test_frontiers_byte_identical(
+        self, collective, topology, k, max_steps, perf_archive
+    ):
         serial = pareto_synthesize(
             collective, topology, k=k, max_steps=max_steps, strategy="serial"
         )
@@ -62,6 +79,12 @@ class TestParallelDeterminism:
             strategy="parallel", max_workers=2,
         )
         assert frontier_bytes(serial) == frontier_bytes(parallel)
+        # The alias runs the speculative pipeline but keeps its own name in
+        # the frontier and in the archive's sweep records.
+        assert parallel.strategy == "parallel"
+        assert {r.strategy for r in perf_archive.records(kind="sweep")} == {
+            "serial", "parallel",
+        }
 
     def test_parallel_sweep_replays_serial_rule(self):
         request = SweepRequest(
@@ -71,7 +94,7 @@ class TestParallelDeterminism:
             candidates=((3, 1), (4, 1), (5, 1)),
         )
         serial = SerialDispatcher().sweep(request)
-        parallel = ParallelDispatcher(max_workers=2).sweep(request)
+        parallel = make_dispatcher("parallel", max_workers=2).sweep(request)
         assert [r.status for r in parallel.results] == [r.status for r in serial.results]
         assert len(parallel.results) == len(serial.results)
 
@@ -83,7 +106,7 @@ class TestParallelDeterminism:
             steps=2,
             candidates=((2, 1),),
         )
-        outcome = ParallelDispatcher(max_workers=4).sweep(request)
+        outcome = make_dispatcher("parallel", max_workers=4).sweep(request)
         assert outcome.first_sat is not None
 
 

@@ -4,10 +4,10 @@ not change the frontier the sweep reports.
 The incremental dispatcher probes candidates through shared-prefix family
 frames — *larger* formulas than the standalone encodings every other
 strategy solves, so a per-probe budget can exhaust on a frame where the
-standalone formula would verdict.  The policy (``SweepRequest.unknown_retry``)
-retries the exact standalone formula with the same budget before conceding
-the lattice point, restoring cross-strategy frontier agreement under
-injected resource limits.
+standalone formula would verdict.  The policy (always on; see
+:class:`~repro.engine.IncrementalDispatcher`) retries the exact standalone
+formula with the same budget before conceding the lattice point, restoring
+cross-strategy frontier agreement under injected resource limits.
 """
 
 import pytest
@@ -65,13 +65,6 @@ class TestExactRetry:
         outcome = IncrementalDispatcher().sweep(self.request())
         assert outcome.first_sat is not None
         assert outcome.stats.unknown_retries >= 1
-
-    def test_retry_can_be_disabled(self, monkeypatch):
-        _unknown_family_solve(monkeypatch)
-        outcome = IncrementalDispatcher().sweep(self.request(unknown_retry=False))
-        assert outcome.first_sat is None
-        assert all(r.is_unknown for r in outcome.results)
-        assert outcome.stats.unknown_retries == 0
 
     def test_sound_verdicts_are_never_retried(self):
         """SAT/UNSAT family answers are sound; no retry runs for them."""
