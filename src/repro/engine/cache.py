@@ -37,7 +37,7 @@ except ImportError:  # pragma: no cover - non-POSIX
 from ..core.algorithm import Algorithm
 from ..core.instance import SynCollInstance
 from ..solver import SolveResult
-from ..telemetry import get_metrics
+from ..telemetry import CounterView, get_metrics
 from ..topology import Topology
 
 CACHE_FORMAT_VERSION = 1
@@ -188,7 +188,7 @@ class CacheEntry:
 
 
 class AlgorithmCache:
-    """Directory-backed algorithm store with per-run hit/miss counters.
+    """Directory-backed algorithm store with hit/miss counts.
 
     Entries live under ``<root>/<key[:2]>/<key>.json`` and are written
     atomically (temp file + rename), so concurrent writers — the parallel
@@ -206,8 +206,7 @@ class AlgorithmCache:
 
     def __init__(self, root) -> None:
         self.root = Path(root)
-        self.hits = 0
-        self.misses = 0
+        self._counts = CounterView()
 
     # ------------------------------------------------------------------
     # Paths
@@ -246,27 +245,47 @@ class AlgorithmCache:
     # Lookup / store
     # ------------------------------------------------------------------
     def lookup(self, key: str) -> Optional[CacheEntry]:
+        return self._lookup(key)[0]
+
+    def _lookup(
+        self, key: str, topology: Optional[Topology] = None, *, verify: bool = True
+    ) -> Tuple[Optional[CacheEntry], Optional[Algorithm]]:
+        """Read ``key``'s entry as ``(entry, algorithm)``, counted once.
+
+        With a ``topology``, a SAT entry's schedule is decoded onto it and
+        verified; a corrupted or stale one is dropped and the lookup counts
+        as a miss, never as a hit.
+        """
         path = self._path(key)
+        entry = algorithm = None
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 entry = CacheEntry.from_json(json.load(handle))
         except (OSError, ValueError, KeyError, CacheError):
-            self.misses += 1
-            get_metrics().inc("repro_cache_lookups_total", outcome="miss")
-            return None
-        if entry.key != key:
-            self.misses += 1
-            get_metrics().inc("repro_cache_lookups_total", outcome="miss")
-            return None
-        self.hits += 1
-        get_metrics().inc("repro_cache_lookups_total", outcome="hit")
-        # Refresh the file's mtime so LRU eviction sees recently-replayed
-        # entries as hot.  Best effort: a read-only cache still serves hits.
-        try:
-            os.utime(path)
-        except OSError:
             pass
-        return entry
+        if entry is not None and entry.key != key:
+            entry = None
+        if entry is not None and topology is not None and entry.status == "sat":
+            try:
+                algorithm = Algorithm.from_dict(entry.algorithm)
+                algorithm = dataclasses.replace(algorithm, topology=topology)
+                if verify:
+                    algorithm.verify()
+            except Exception:
+                self.discard(key)
+                get_metrics().inc("repro_cache_corrupt_total")
+                entry = algorithm = None
+        get_metrics().inc(
+            "repro_cache_lookups_total", outcome="miss" if entry is None else "hit"
+        )
+        if entry is not None:
+            # Refresh the file's mtime so LRU eviction sees recently-replayed
+            # entries as hot.  Best effort: a read-only cache still serves hits.
+            try:
+                os.utime(path)
+            except OSError:
+                pass
+        return entry, algorithm
 
     def store(self, entry: CacheEntry) -> None:
         path = self._path(entry.key)
@@ -304,7 +323,13 @@ class AlgorithmCache:
         return sum(1 for _ in self.root.glob("*/*.json")) if self.root.exists() else 0
 
     def stats(self) -> dict:
-        return {"hits": self.hits, "misses": self.misses, "entries": len(self)}
+        """Lookup counts since the cache object was built, plus its size."""
+        lookups = self._counts.by_label("repro_cache_lookups_total", "outcome")
+        return {
+            "hits": lookups.get("hit", 0),
+            "misses": lookups.get("miss", 0),
+            "entries": len(self),
+        }
 
     # ------------------------------------------------------------------
     # Inspection / eviction (the roadmap's size limits, driven by the CLI)
@@ -456,27 +481,7 @@ class AlgorithmCache:
             collective, topology, chunks_per_node, steps, rounds,
             root=root, encoding=encoding, prune=prune,
         )
-        entry = self.lookup(key)
-        if entry is None or entry.status != "sat" or entry.algorithm is None:
-            return None
-        return self._decode_algorithm(entry, topology, key, verify=verify)
-
-    def _decode_algorithm(
-        self, entry: CacheEntry, topology: Topology, key: str, *, verify: bool = True
-    ) -> Optional[Algorithm]:
-        try:
-            algorithm = Algorithm.from_dict(entry.algorithm)
-            algorithm = dataclasses.replace(algorithm, topology=topology)
-            if verify:
-                algorithm.verify()
-        except Exception:
-            # Corrupted or stale entry: drop it and report a miss.
-            self.discard(key)
-            self.hits -= 1
-            self.misses += 1
-            get_metrics().inc("repro_cache_corrupt_total")
-            return None
-        return algorithm
+        return self._lookup(key, topology, verify=verify)[1]
 
 
 def default_cache_dir() -> Path:
@@ -513,14 +518,9 @@ def lookup_result(
     from ..core.synthesizer import SynthesisResult
 
     key = instance_fingerprint(instance, encoding=encoding, prune=prune)
-    entry = cache.lookup(key)
+    entry, algorithm = cache._lookup(key, instance.topology, verify=verify)
     if entry is None:
         return None
-    algorithm = None
-    if entry.status == "sat":
-        algorithm = cache._decode_algorithm(entry, instance.topology, key, verify=verify)
-        if algorithm is None:
-            return None
     status = SolveResult.SAT if entry.status == "sat" else SolveResult.UNSAT
     return SynthesisResult(
         instance=instance,

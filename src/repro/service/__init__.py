@@ -23,7 +23,7 @@ from .api import (
     PlanResponse,
     ServiceError,
 )
-from .broker import Broker, BrokerError, BrokerStats, Job, Ticket
+from .broker import Broker, BrokerError, Job, Ticket
 from .faults import FaultBoard, apply_fault_request
 from .registry import (
     DEFAULT_ROUTE_SIZES,
@@ -59,7 +59,6 @@ __all__ = [
     "API_VERSION",
     "Broker",
     "BrokerError",
-    "BrokerStats",
     "DEFAULT_DEADLINE_S",
     "DEFAULT_HOST",
     "DEFAULT_PORT",

@@ -26,10 +26,9 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional
 
-from ..telemetry import get_metrics
+from ..telemetry import CounterView, get_metrics
 from .api import PlanRequest, PlanResponse, ServiceError
 
 #: Server-side ceiling on deadline-less waits.  A ticket whose request has
@@ -40,60 +39,6 @@ DEFAULT_MAX_WAIT_S = 3600.0
 
 class BrokerError(ServiceError):
     """Raised for invalid broker operations."""
-
-
-@dataclass
-class BrokerStats:
-    """Monotonic counters; read via :meth:`Broker.stats`.
-
-    Counters accumulate for the life of the *broker object*, which may
-    span several :class:`~repro.service.workers.PlanningService` start /
-    stop cycles — a restart must not silently zero the series a scraper
-    is watching.  ``since`` (wall epoch) dates the window the counters
-    cover; :meth:`reset` zeroes them and restamps it, for tests and for
-    operators who want a fresh window.
-    """
-
-    submitted: int = 0
-    coalesced: int = 0
-    completed: int = 0
-    failed: int = 0
-    cancelled: int = 0      # tickets detached by Ticket.cancel()
-    expired: int = 0        # tickets that gave up waiting (deadline)
-    dropped_jobs: int = 0   # queued jobs abandoned by all their waiters
-    resolver_crashes: int = 0  # jobs failed by a resolver exception
-    since: float = field(default_factory=time.time)
-    since_monotonic: float = field(default_factory=time.monotonic)
-
-    def reset(self) -> None:
-        self.submitted = 0
-        self.coalesced = 0
-        self.completed = 0
-        self.failed = 0
-        self.cancelled = 0
-        self.expired = 0
-        self.dropped_jobs = 0
-        self.resolver_crashes = 0
-        self.since = time.time()
-        self.since_monotonic = time.monotonic()
-
-    def as_dict(self) -> Dict[str, float]:
-        data = {
-            "submitted": self.submitted,
-            "coalesced": self.coalesced,
-            "completed": self.completed,
-            "failed": self.failed,
-            "cancelled": self.cancelled,
-            "expired": self.expired,
-            "dropped_jobs": self.dropped_jobs,
-            "resolver_crashes": self.resolver_crashes,
-            "since": self.since,
-            "uptime_s": time.monotonic() - self.since_monotonic,
-        }
-        data["coalescing_ratio"] = (
-            self.coalesced / self.submitted if self.submitted else 0.0
-        )
-        return data
 
 
 class Job:
@@ -169,7 +114,6 @@ class Ticket:
             if self._event.is_set():
                 return self._response
             self._detach_locked()
-            self._broker._stats.expired += 1
         get_metrics().inc("repro_broker_tickets_total", outcome="expired")
         return PlanResponse(
             status="timeout",
@@ -185,7 +129,6 @@ class Ticket:
             if self._event.is_set():
                 return False
             self._detach_locked()
-            self._broker._stats.cancelled += 1
             get_metrics().inc("repro_broker_tickets_total", outcome="cancelled")
             self._response = PlanResponse(
                 status="cancelled",
@@ -205,7 +148,7 @@ class Ticket:
             # so the queue never burns a worker on unclaimed work.
             job.dropped = True
             self._broker._inflight.pop(job.key, None)
-            self._broker._stats.dropped_jobs += 1
+            get_metrics().inc("repro_broker_jobs_total", outcome="dropped")
 
     # ------------------------------------------------------------------
     def _resolve(self, response: PlanResponse) -> None:
@@ -245,7 +188,9 @@ class Broker:
         self._available = threading.Condition(self._lock)
         self._queue: Deque[Job] = deque()
         self._inflight: Dict[str, Job] = {}
-        self._stats = BrokerStats()
+        # Counts live in the metrics registry; stats() reads them from the
+        # broker's start point, which survives service stop/start cycles.
+        self._counts = CounterView()
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -258,12 +203,10 @@ class Broker:
         with self._lock:
             if self._closed:
                 raise BrokerError("broker is closed")
-            self._stats.submitted += 1
             job = self._inflight.get(key)
             if job is not None and not job.dropped:
                 ticket = Ticket(self, job, request, coalesced=True)
                 job.tickets.append(ticket)
-                self._stats.coalesced += 1
                 get_metrics().inc("repro_broker_requests_total", outcome="coalesced")
                 return ticket
             if self.max_pending is not None and len(self._queue) >= self.max_pending:
@@ -312,12 +255,8 @@ class Broker:
             self._inflight.pop(job.key, None)
             waiters = list(job.tickets)
             job.tickets.clear()
-            if response.status == "ok":
-                self._stats.completed += 1
-                get_metrics().inc("repro_broker_jobs_total", outcome="completed")
-            else:
-                self._stats.failed += 1
-                get_metrics().inc("repro_broker_jobs_total", outcome="failed")
+            outcome = "completed" if response.status == "ok" else "failed"
+            get_metrics().inc("repro_broker_jobs_total", outcome=outcome)
         for ticket in waiters:
             ticket._resolve(response)
 
@@ -326,11 +265,8 @@ class Broker:
 
         Callers (the worker pool) route resolver exceptions here so every
         waiter gets a typed answer — the reason and the exception class —
-        instead of a hung ticket.  Each call counts as a resolver crash
-        in :class:`BrokerStats`.
+        instead of a hung ticket.  Each call counts as a resolver crash.
         """
-        with self._lock:
-            self._stats.resolver_crashes += 1
         get_metrics().inc("repro_broker_resolver_crashes_total")
         self.complete(
             job,
@@ -354,13 +290,33 @@ class Broker:
             return sum(1 for job in self._queue if not job.dropped)
 
     def stats(self) -> Dict[str, float]:
+        """The ``repro_broker_*`` series since the start point (see
+        :meth:`reset_stats`); ``submitted`` is enqueued + coalesced."""
+        counts = self._counts
+        requests = counts.by_label("repro_broker_requests_total", "outcome")
+        jobs = counts.by_label("repro_broker_jobs_total", "outcome")
+        tickets = counts.by_label("repro_broker_tickets_total", "outcome")
+        submitted = requests.get("enqueued", 0) + requests.get("coalesced", 0)
+        coalesced = requests.get("coalesced", 0)
+        data: Dict[str, float] = {
+            "submitted": submitted,
+            "coalesced": coalesced,
+            "completed": jobs.get("completed", 0),
+            "failed": jobs.get("failed", 0),
+            "cancelled": tickets.get("cancelled", 0),
+            "expired": tickets.get("expired", 0),
+            "dropped_jobs": jobs.get("dropped", 0),
+            "resolver_crashes": counts.count("repro_broker_resolver_crashes_total"),
+            "since": counts.since,
+            "uptime_s": counts.uptime_s(),
+            "coalescing_ratio": coalesced / submitted if submitted else 0.0,
+        }
         with self._lock:
-            data = self._stats.as_dict()
             data["pending"] = sum(1 for job in self._queue if not job.dropped)
             data["inflight"] = len(self._inflight)
-            return data
+        return data
 
     def reset_stats(self) -> None:
-        """Zero the counters and restart their ``since`` window (tests)."""
-        with self._lock:
-            self._stats.reset()
+        """Zero the view and restart its ``since`` window; the Prometheus
+        series keep counting (tests, operators wanting a fresh window)."""
+        self._counts.restart()

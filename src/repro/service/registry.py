@@ -43,6 +43,7 @@ from ..engine.cache import (
     topology_fingerprint_payload,
 )
 from ..interchange.plan import AlgorithmPlan, plan_from_algorithm
+from ..telemetry import CounterView, get_metrics
 from ..topology import Topology
 from .api import PlanRequest, ServiceError
 
@@ -347,8 +348,7 @@ class PlanRegistry:
         self.routes_dir = Path(routes_dir)
         self._lock = threading.Lock()
         self._tables: Dict[str, Tuple[float, RoutingTable]] = {}
-        self.route_hits = 0
-        self.route_misses = 0
+        self._counts = CounterView()
 
     # ------------------------------------------------------------------
     # Pinned plans (delegated to the algorithm cache)
@@ -451,17 +451,12 @@ class PlanRegistry:
     ) -> Optional[Tuple[AlgorithmPlan, RouteEntry, RoutingTable]]:
         """Answer a routed request from a persisted table, or None."""
         table = self.table_for(request, topology=topology)
-        if table is None:
-            with self._lock:
-                self.route_misses += 1
-            return None
-        entry = table.route(float(request.size_bytes))
+        entry = None if table is None else table.route(float(request.size_bytes))
+        get_metrics().inc(
+            "repro_registry_routes_total", outcome="miss" if entry is None else "hit"
+        )
         if entry is None:
-            with self._lock:
-                self.route_misses += 1
             return None
-        with self._lock:
-            self.route_hits += 1
         # Plans inside a memoized table were verified when the table was
         # loaded; skip per-request re-verification on the hot path.
         return table.plan_for(entry, verify=False), entry, table
@@ -537,12 +532,12 @@ class PlanRegistry:
         return sorted(self.routes_dir.glob("*.json"))
 
     def stats(self) -> Dict[str, object]:
-        with self._lock:
-            hits, misses = self.route_hits, self.route_misses
+        """Cache and route counts since the registry was built."""
+        routes = self._counts.by_label("repro_registry_routes_total", "outcome")
         return {
             "cache": self.cache.stats(),
-            "route_hits": hits,
-            "route_misses": misses,
+            "route_hits": routes.get("hit", 0),
+            "route_misses": routes.get("miss", 0),
             "tables": len(self.tables()),
         }
 

@@ -34,7 +34,7 @@ import threading
 import time
 from typing import Callable, Dict, List, Optional
 
-from ..telemetry import get_metrics
+from ..telemetry import CounterView, get_metrics
 from .api import (
     DEFAULT_DEADLINE_S,
     FaultRequest,
@@ -153,13 +153,7 @@ class SynthesisResolver:
         # lookups, routing keys, synthesis and baselines alike, so no
         # answer can schedule traffic over a link declared dead.
         self.fault_board = fault_board
-        self.replans = 0          # resolutions that targeted a degraded topology
-        self.solves = 0           # backend solves performed (not replayed)
-        self.registry_hits = 0    # answers served with zero solver work
-        # Which rung of the ladder answered: cache / registry / synthesized
-        # / baseline / error.  Mirrors repro_resolver_rung_total{rung=...}.
-        self.rungs: Dict[str, int] = {}
-        self.since = time.time()
+        self._counts = CounterView()
         self._lock = threading.Lock()
         # The broker coalesces on the full request key, which for routed
         # requests includes the size — but routed requests for *different*
@@ -207,8 +201,6 @@ class SynthesisResolver:
 
     def _rung(self, rung: str) -> None:
         """Record which ladder rung produced the answer."""
-        with self._lock:
-            self.rungs[rung] = self.rungs.get(rung, 0) + 1
         get_metrics().inc("repro_resolver_rung_total", rung=rung)
 
     def _effective_topology(self, request: PlanRequest):
@@ -218,8 +210,7 @@ class SynthesisResolver:
             return base
         topology = self.fault_board.apply(base)
         if topology is not base:
-            with self._lock:
-                self.replans += 1
+            get_metrics().inc("repro_resolver_replans_total")
         return topology
 
     # ------------------------------------------------------------------
@@ -234,8 +225,7 @@ class SynthesisResolver:
 
         plan = self.registry.lookup_pinned(request, topology=topology)
         if plan is not None:
-            with self._lock:
-                self.registry_hits += 1
+            get_metrics().inc("repro_resolver_registry_hits_total")
             self._rung("cache")
             return PlanResponse(
                 status="ok",
@@ -261,8 +251,7 @@ class SynthesisResolver:
                 solve_time_s=time.monotonic() - started,
             )
 
-        with self._lock:
-            self.solves += 1
+        get_metrics().inc("repro_resolver_solves_total")
         result = synthesize(
             instance,
             encoding=request.encoding,
@@ -305,8 +294,7 @@ class SynthesisResolver:
         routed = self.registry.route(request, topology=topology)
         if routed is not None:
             plan, entry, table = routed
-            with self._lock:
-                self.registry_hits += 1
+            get_metrics().inc("repro_resolver_registry_hits_total")
             self._rung("registry")
             return PlanResponse(
                 status="ok",
@@ -325,8 +313,7 @@ class SynthesisResolver:
             routed = self.registry.route(request, topology=topology)
             if routed is not None:
                 plan, entry, table = routed
-                with self._lock:
-                    self.registry_hits += 1
+                get_metrics().inc("repro_resolver_registry_hits_total")
                 self._rung("registry")
                 return PlanResponse(
                     status="ok",
@@ -387,8 +374,7 @@ class SynthesisResolver:
     def _build_table(self, request: PlanRequest, remaining_s: Optional[float], topology):
         from ..core import pareto_synthesize
 
-        with self._lock:
-            self.solves += 1
+        get_metrics().inc("repro_resolver_solves_total")
         frontier = pareto_synthesize(
             request.collective,
             topology,
@@ -416,23 +402,21 @@ class SynthesisResolver:
         )
 
     def stats(self) -> Dict[str, object]:
-        with self._lock:
-            return {
-                "solves": self.solves,
-                "registry_hits": self.registry_hits,
-                "replans": self.replans,
-                "rungs": dict(self.rungs),
-                "since": self.since,
-            }
+        """Since the start point: backend solves (not replays), answers with
+        zero solver work, resolutions against a degraded topology, and which
+        ladder rung answered (cache/registry/synthesized/baseline/error)."""
+        counts = self._counts
+        return {
+            "solves": counts.count("repro_resolver_solves_total"),
+            "registry_hits": counts.count("repro_resolver_registry_hits_total"),
+            "replans": counts.count("repro_resolver_replans_total"),
+            "rungs": counts.by_label("repro_resolver_rung_total", "rung"),
+            "since": counts.since,
+        }
 
     def reset(self) -> None:
-        """Zero the counters and restart their ``since`` window (tests)."""
-        with self._lock:
-            self.replans = 0
-            self.solves = 0
-            self.registry_hits = 0
-            self.rungs.clear()
-            self.since = time.time()
+        """Zero the view and restart its ``since`` window (tests)."""
+        self._counts.restart()
 
 
 def _clamp_limit(remaining_s: Optional[float]) -> Optional[float]:

@@ -35,6 +35,7 @@ from .archive import (
 from .logbridge import SpanLogBridge, jsonl_logging, log_metrics_snapshot
 from .metrics import (
     DEFAULT_BUCKETS,
+    CounterView,
     Metrics,
     MetricsError,
     get_metrics,
@@ -60,6 +61,7 @@ __all__ = [
     "ARCHIVE_DIR_ENV",
     "ARCHIVE_DISABLE_ENV",
     "ArchiveError",
+    "CounterView",
     "DEFAULT_BUCKETS",
     "Metrics",
     "MetricsError",

@@ -128,7 +128,6 @@ class Metrics:
         self._gauges: Dict[SeriesKey, float] = {}
         self._histograms: Dict[SeriesKey, _Histogram] = {}
         self._types: Dict[str, str] = {}
-        self._help: Dict[str, str] = {}
         self.since = time.time()
 
     # ------------------------------------------------------------------
@@ -164,11 +163,6 @@ class Metrics:
                 hist = self._histograms[key] = _Histogram(DEFAULT_BUCKETS)
             hist.observe(float(value))
 
-    def describe(self, name: str, help_text: str) -> None:
-        """Attach a ``# HELP`` line to a metric name."""
-        with self._lock:
-            self._help[name] = help_text
-
     def reset(self) -> None:
         """Drop every series and restart the ``since`` epoch (tests)."""
         with self._lock:
@@ -191,6 +185,11 @@ class Metrics:
                 return self._gauges[key]
             hist = self._histograms.get(key)
             return hist.sum if hist is not None else 0.0
+
+    def counters(self) -> Dict[SeriesKey, float]:
+        """A copy of every counter series (what :class:`CounterView` reads)."""
+        with self._lock:
+            return dict(self._counters)
 
     def total(self, name: str, **match) -> float:
         """Sum of all ``name`` series whose labels include ``match``."""
@@ -268,8 +267,6 @@ class Metrics:
                 by_name.setdefault(name, []).append((labels, hist))
             for name in sorted(by_name):
                 kind = self._types.get(name, "untyped")
-                if name in self._help:
-                    lines.append(f"# HELP {name} {self._help[name]}")
                 lines.append(f"# TYPE {name} {kind}")
                 estimates: List[str] = []
                 for labels, value in sorted(by_name[name]):
@@ -345,3 +342,57 @@ def set_metrics(metrics: Optional[Metrics]) -> Metrics:
         previous = _METRICS
         _METRICS = metrics if metrics is not None else Metrics()
     return previous
+
+
+class CounterView:
+    """Counter moves since a start point: the ``stats()`` of the broker,
+    resolver, plan registry and algorithm cache, which keep no counters.
+
+    The view records every counter total and a ``since`` stamp when built
+    and on :meth:`restart`, and reports how far a series has moved since,
+    so a restart zeroes the view while the Prometheus series keep counting.
+    Reads go to the current registry; one swapped in by :func:`set_metrics`
+    (or cleared by :meth:`Metrics.reset`) after the start point is read from
+    zero.  No count reads negative.
+    """
+
+    def __init__(self) -> None:
+        self.restart()
+
+    def restart(self) -> None:
+        metrics = get_metrics()
+        # One tuple in one assignment: readers never see a torn start point.
+        self._start = (
+            metrics, metrics.since, metrics.counters(), time.time(), time.monotonic()
+        )
+
+    @property
+    def since(self) -> float:
+        return self._start[3]
+
+    def uptime_s(self) -> float:
+        return time.monotonic() - self._start[4]
+
+    def count(self, name: str) -> int:
+        """Moves of every ``name`` series together."""
+        return sum(self._moves(name).values())
+
+    def by_label(self, name: str, label: str) -> Dict[str, int]:
+        """Moves of ``name`` keyed by ``label``'s value (zeros left out)."""
+        moves: Dict[str, int] = {}
+        for labels, move in self._moves(name).items():
+            if move:
+                value = dict(labels)[label]
+                moves[value] = moves.get(value, 0) + move
+        return moves
+
+    def _moves(self, name: str) -> Dict[LabelKey, int]:
+        origin, origin_since, start, _, _ = self._start
+        metrics = get_metrics()
+        if metrics is not origin or metrics.since != origin_since:
+            start = {}
+        return {
+            labels: max(0, int(value - start.get((series, labels), 0.0)))
+            for (series, labels), value in metrics.counters().items()
+            if series == name
+        }

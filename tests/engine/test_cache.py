@@ -95,6 +95,27 @@ class TestCacheBasics:
         assert not repaired.cache_hit
         assert synthesize(instance, cache=cache).cache_hit
 
+    def test_corrupt_schedule_counts_once_as_a_miss(self, cache):
+        from repro.telemetry import Metrics, set_metrics
+
+        synthesize(make_instance("Allgather", ring(4), 1, 2, 3), cache=cache)
+        path = cache._path(fingerprint("Allgather", ring(4), 1, 2, 3))
+        data = json.loads(path.read_text(encoding="utf-8"))
+        data["algorithm"]["steps"] = data["algorithm"]["steps"][:-1]
+        path.write_text(json.dumps(data), encoding="utf-8")
+
+        metrics = Metrics()
+        previous = set_metrics(metrics)
+        try:
+            assert cache.load_algorithm("Allgather", ring(4), 1, 2, 3) is None
+            stats = cache.stats()
+        finally:
+            set_metrics(previous)
+        assert (stats["hits"], stats["misses"]) == (0, 1)
+        assert metrics.value("repro_cache_lookups_total", outcome="hit") == 0
+        assert metrics.value("repro_cache_lookups_total", outcome="miss") == 1
+        assert metrics.value("repro_cache_corrupt_total") == 1
+
     def test_unwritable_cache_never_fails_synthesis(self):
         # The cache is an optimization: a broken cache directory must not
         # turn a successful solve into an error.
